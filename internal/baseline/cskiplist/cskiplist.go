@@ -9,10 +9,14 @@
 // (capped at MaxHeight), and searches always start from the head: cost
 // Θ(log m) regardless of the universe width.
 //
-// Node links use the same dcss.Atom representation as the SkipTrie's lists
-// (pointer and mark in one word, witness-based CAS), so step-count and
-// wall-clock comparisons between the two structures measure the algorithm,
-// not the memory layout.
+// Node links use the same representation as the SkipTrie's lists: one
+// atomic pointer per link, with a node logically deleted at a level by
+// swinging that level's link onto a marker node holding the frozen
+// successor, and every CAS comparing the expected successor pointer. So
+// step-count and wall-clock comparisons between the two structures
+// measure the algorithm, not the memory layout. The ABA argument is the
+// skiplist's (internal/skiplist/link.go): the GC never reuses a
+// referenced node's address, and no unlinked node is ever relinked.
 package cskiplist
 
 import (
@@ -20,7 +24,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"skiptrie/internal/dcss"
 	"skiptrie/internal/stats"
 	"skiptrie/internal/uintbits"
 )
@@ -28,19 +31,46 @@ import (
 // MaxHeight bounds tower heights; 2^32 keys fill it.
 const MaxHeight = 32
 
+// Sentinel values of node.sent.
+const (
+	sentHead   = -1
+	sentData   = 0
+	sentTail   = +1
+	sentMarker = +2 // a marker; next[0] is the frozen successor
+)
+
 type node struct {
 	key    uint64
 	val    atomic.Pointer[valueCell]
-	sent   int8 // -1 head, +1 tail, 0 data
+	sent   int8
 	height int
-	next   []dcss.Atom[succ]
+	next   []atomic.Pointer[node]
+}
+
+// markerNode is a marker allocation: the node header plus the one link
+// its next slice views, so a marker costs a single allocation.
+type markerNode struct {
+	node
+	link [1]atomic.Pointer[node]
+}
+
+func newMarker(frozen *node) *node {
+	m := &markerNode{node: node{sent: sentMarker}}
+	m.next = m.link[:]
+	m.link[0].Store(frozen)
+	return &m.node
 }
 
 type valueCell struct{ v any }
 
-type succ struct {
-	n      *node
-	marked bool
+// succ decodes n's level-lv link: the successor, and whether n is
+// deleted at that level.
+func (n *node) succ(lv int) (*node, bool) {
+	p := n.next[lv].Load()
+	if p != nil && p.sent == sentMarker {
+		return p.next[0].Load(), true
+	}
+	return p, false
 }
 
 // List is a lock-free skiplist over uint64 keys.
@@ -58,12 +88,12 @@ func New(seed uint64) *List {
 		seed = 0xC1A551C0DE
 	}
 	l := &List{
-		head: &node{sent: -1, height: MaxHeight, next: make([]dcss.Atom[succ], MaxHeight)},
-		tail: &node{sent: +1, height: MaxHeight, next: make([]dcss.Atom[succ], MaxHeight)},
+		head: &node{sent: sentHead, height: MaxHeight, next: make([]atomic.Pointer[node], MaxHeight)},
+		tail: &node{sent: sentTail, height: MaxHeight, next: make([]atomic.Pointer[node], MaxHeight)},
 	}
 	l.rng.Store(seed)
 	for i := 0; i < MaxHeight; i++ {
-		l.head.next[i].Store(succ{n: l.tail})
+		l.head.next[i].Store(l.tail)
 	}
 	return l
 }
@@ -78,60 +108,65 @@ func (l *List) randomHeight() int {
 
 // before reports whether n sorts strictly before key.
 func (n *node) before(key uint64) bool {
-	return n.sent < 0 || (n.sent == 0 && n.key < key)
+	return n.sent == sentHead || (n.sent == sentData && n.key < key)
 }
 
 // find locates the bracket of key on every level, unlinking marked nodes
-// it passes. succs[0] is the first node >= key (possibly the tail).
-func (l *List) find(key uint64, preds, succs *[MaxHeight]*node, predWs *[MaxHeight]dcss.Witness[succ], c *stats.Op) bool {
+// it passes. succs[0] is the first node >= key (possibly the tail). At
+// some instant during the call each preds[lv] was unmarked at level lv
+// with next = succs[lv], so a CAS of that link expecting succs[lv] acts
+// only while that still holds. A pred carried down from the level above
+// may since have been marked at this level; the walk then restarts, as
+// continuing from a deleted node would bracket key against a node that
+// is no longer on the list.
+func (l *List) find(key uint64, preds, succs *[MaxHeight]*node, c *stats.Op) bool {
 retry:
 	pred := l.head
 	for lv := MaxHeight - 1; lv >= 0; lv-- {
-		ps, pw := pred.next[lv].Load()
-		curr := ps.n
+		curr, marked := pred.succ(lv)
+		if marked {
+			goto retry
+		}
 		for {
 			c.Hop()
-			cs, cw := curr.next[lv].Load()
-			for cs.marked {
+			next, cmarked := curr.succ(lv)
+			for cmarked {
 				// Unlink the marked node.
 				c.IncCAS()
-				npw, ok := pred.next[lv].CompareAndSwap(pw, succ{n: cs.n})
-				if !ok {
+				if !pred.next[lv].CompareAndSwap(curr, next) {
 					goto retry
 				}
-				pw = npw
-				curr = cs.n
+				curr = next
 				c.Hop()
-				cs, cw = curr.next[lv].Load()
+				next, cmarked = curr.succ(lv)
 			}
 			if curr.before(key) {
-				pred, pw, curr = curr, cw, cs.n
+				pred, curr = curr, next
 				continue
 			}
 			break
 		}
-		preds[lv], predWs[lv], succs[lv] = pred, pw, curr
+		preds[lv], succs[lv] = pred, curr
 	}
-	return succs[0].sent == 0 && succs[0].key == key
+	return succs[0].sent == sentData && succs[0].key == key
 }
 
 // Insert adds key with an optional value, reporting whether it was absent.
 func (l *List) Insert(key uint64, val any, c *stats.Op) bool {
 	var preds, succs [MaxHeight]*node
-	var predWs [MaxHeight]dcss.Witness[succ]
 	h := l.randomHeight()
-	n := &node{key: key, height: h, next: make([]dcss.Atom[succ], h)}
+	n := &node{key: key, height: h, next: make([]atomic.Pointer[node], h)}
 	if val != nil {
 		n.val.Store(&valueCell{v: val})
 	}
 	for {
-		if l.find(key, &preds, &succs, &predWs, c) {
+		if l.find(key, &preds, &succs, c) {
 			return false
 		}
 		// Link bottom level: the linearization point.
-		n.next[0].Store(succ{n: succs[0]})
+		n.next[0].Store(succs[0])
 		c.IncCAS()
-		if _, ok := preds[0].next[0].CompareAndSwap(predWs[0], succ{n: n}); ok {
+		if preds[0].next[0].CompareAndSwap(succs[0], n) {
 			break
 		}
 	}
@@ -139,22 +174,20 @@ func (l *List) Insert(key uint64, val any, c *stats.Op) bool {
 	// Raise remaining levels.
 	for lv := 1; lv < h; lv++ {
 		for {
-			s, w := n.next[lv].Load()
-			if s.marked {
+			p := n.next[lv].Load()
+			if p != nil && p.sent == sentMarker {
 				return true // deleted concurrently; stop raising
 			}
-			if s.n != succs[lv] {
-				if _, ok := n.next[lv].CompareAndSwap(w, succ{n: succs[lv]}); !ok {
-					return true // marked under us
-				}
+			if p != succs[lv] && !n.next[lv].CompareAndSwap(p, succs[lv]) {
+				return true // marked under us
 			}
 			c.IncCAS()
-			if _, ok := preds[lv].next[lv].CompareAndSwap(predWs[lv], succ{n: n}); ok {
+			if preds[lv].next[lv].CompareAndSwap(succs[lv], n) {
 				break
 			}
-			if l.find(key, &preds, &succs, &predWs, c) {
-				// Our own node found; keep raising with fresh brackets.
-			}
+			// Our own node is found at level 0; keep raising with fresh
+			// brackets.
+			l.find(key, &preds, &succs, c)
 			if n.marked(0) {
 				return true
 			}
@@ -164,44 +197,48 @@ func (l *List) Insert(key uint64, val any, c *stats.Op) bool {
 }
 
 func (n *node) marked(lv int) bool {
-	s, _ := n.next[lv].Load()
-	return s.marked
+	_, m := n.succ(lv)
+	return m
+}
+
+// mark marks n at level lv, reporting whether this call did it.
+func (n *node) mark(lv int, c *stats.Op) bool {
+	var mk *node
+	for {
+		next, marked := n.succ(lv)
+		if marked {
+			return false
+		}
+		if mk == nil {
+			mk = newMarker(next)
+		} else {
+			mk.next[0].Store(next) // never published: reuse it
+		}
+		c.IncCAS()
+		if n.next[lv].CompareAndSwap(next, mk) {
+			return true
+		}
+	}
 }
 
 // Delete removes key, reporting whether this call removed it.
 func (l *List) Delete(key uint64, c *stats.Op) bool {
 	var preds, succs [MaxHeight]*node
-	var predWs [MaxHeight]dcss.Witness[succ]
-	if !l.find(key, &preds, &succs, &predWs, c) {
+	if !l.find(key, &preds, &succs, c) {
 		return false
 	}
 	n := succs[0]
 	// Mark from the top of the tower down to level 1.
 	for lv := n.height - 1; lv >= 1; lv-- {
-		for {
-			s, w := n.next[lv].Load()
-			if s.marked {
-				break
-			}
-			c.IncCAS()
-			if _, ok := n.next[lv].CompareAndSwap(w, succ{n: s.n, marked: true}); ok {
-				break
-			}
-		}
+		n.mark(lv, c)
 	}
 	// Mark level 0: the linearization point; only one deleter wins.
-	for {
-		s, w := n.next[0].Load()
-		if s.marked {
-			return false
-		}
-		c.IncCAS()
-		if _, ok := n.next[0].CompareAndSwap(w, succ{n: s.n, marked: true}); ok {
-			l.length.Add(-1)
-			l.find(key, &preds, &succs, &predWs, c) // physical cleanup
-			return true
-		}
+	if !n.mark(0, c) {
+		return false
 	}
+	l.length.Add(-1)
+	l.find(key, &preds, &succs, c) // physical cleanup
+	return true
 }
 
 // Contains reports whether key is present.
@@ -227,24 +264,22 @@ func (l *List) Value(key uint64, c *stats.Op) (any, bool) {
 func (l *List) seek(key uint64, c *stats.Op) (*node, bool) {
 	pred := l.head
 	for lv := MaxHeight - 1; lv >= 0; lv-- {
-		ps, _ := pred.next[lv].Load()
-		curr := ps.n
+		curr, _ := pred.succ(lv)
 		for curr.before(key) {
 			c.Hop()
-			cs, _ := curr.next[lv].Load()
-			pred, curr = curr, cs.n
+			pred = curr
+			curr, _ = curr.succ(lv)
 		}
 	}
 	// pred < key <= pred.next[0]; skip marked nodes rightward.
-	s, _ := pred.next[0].Load()
-	curr := s.n
-	for curr.sent == 0 {
+	curr, _ := pred.succ(0)
+	for curr.sent == sentData {
 		c.Hop()
-		cs, _ := curr.next[0].Load()
-		if !cs.marked {
+		next, marked := curr.succ(0)
+		if !marked {
 			return curr, true
 		}
-		curr = cs.n
+		curr = next
 	}
 	return nil, false
 }
@@ -252,11 +287,10 @@ func (l *List) seek(key uint64, c *stats.Op) (*node, bool) {
 // Predecessor returns the largest key <= x.
 func (l *List) Predecessor(x uint64, c *stats.Op) (uint64, bool) {
 	var preds, succs [MaxHeight]*node
-	var predWs [MaxHeight]dcss.Witness[succ]
-	if l.find(x, &preds, &succs, &predWs, c) {
+	if l.find(x, &preds, &succs, c) {
 		return x, true
 	}
-	if preds[0].sent == 0 {
+	if preds[0].sent == sentData {
 		return preds[0].key, true
 	}
 	return 0, false
@@ -278,10 +312,10 @@ func (l *List) Validate() error {
 	for lv := 0; lv < MaxHeight; lv++ {
 		prev := uint64(0)
 		first := true
-		s, _ := l.head.next[lv].Load()
-		for n := s.n; n.sent == 0; {
-			ns, _ := n.next[lv].Load()
-			if !ns.marked {
+		n, _ := l.head.succ(lv)
+		for n.sent == sentData {
+			next, marked := n.succ(lv)
+			if !marked {
 				if !first && n.key <= prev {
 					return fmt.Errorf("cskiplist: level %d out of order: %d after %d", lv, n.key, prev)
 				}
@@ -290,7 +324,10 @@ func (l *List) Validate() error {
 					count++
 				}
 			}
-			n = ns.n
+			if next == nil || next.sent == sentMarker {
+				return fmt.Errorf("cskiplist: level %d: %d links to a marker or nil", lv, n.key)
+			}
+			n = next
 		}
 	}
 	if count != l.Len() {

@@ -11,6 +11,17 @@
 // encounters a descriptor helps complete it first, so the emulation is
 // lock-free.
 //
+// # Users
+//
+// Atoms remain only where the paper's guards need a general DCSS: the
+// skiplist's top-level prev guides (set by FixPrev, guarded on the
+// predecessor's link word) and the x-fast trie's double-wide pointer
+// pairs (swung guarded on the new target's link word). The list links —
+// the split-ordered hash table and every skiplist level — are plain
+// atomic pointers with marker-node deletion, and the skiplist's tower
+// raises use a restricted DCSS of their own on those words
+// (internal/skiplist/link.go).
+//
 // # Witnesses instead of values
 //
 // An Atom's Load returns the value together with an opaque Witness; CAS and
@@ -18,19 +29,22 @@
 // the Atom still holds the exact cell that was loaded, which is strictly
 // stronger than value equality and therefore immune to ABA (Go's garbage
 // collector guarantees cell addresses are not reused while reachable).
-// For the SkipTrie this strengthening is sound: every guard in the paper has
-// the form "node n is still unmarked and has succ s", and witness identity
-// implies it; a witness mismatch merely forces a retry, which the paper's
-// analysis already accounts for (it proves the structure remains linearizable
-// and lock-free even when DCSS degrades to CAS).
+// The remaining users decide each update from a view (a bracket, a
+// subtree test) that a round trip of the value (A, then B, then A again)
+// would make stale without changing the value; a witnessed CAS refuses
+// to act on such a view, where a value CAS could not tell.
+// A witness mismatch merely forces a retry, which the paper's analysis
+// already accounts for (it proves the structure remains linearizable and
+// lock-free even when DCSS degrades to CAS).
 //
 // # Guard discipline
 //
 // Guards must be side-effect-free and must not — directly or through
 // helping — read the Atom the DCSS targets, or descriptor helping could
-// recurse forever. In this codebase guards only read (a) plain atomic flags
-// (tower stop flags) or (b) skiplist succ Atoms whose own descriptors carry
-// type-(a) guards, so helping depth is bounded by two.
+// recurse forever. In this codebase every guard reads one skiplist link
+// word (Node.SuccHolds), whose only descriptors are tower raises guarded
+// by a plain atomic flag (the tower's stop flag), so helping depth is
+// bounded by two.
 package dcss
 
 import "sync/atomic"
@@ -99,15 +113,6 @@ func (a *Atom[T]) Value() T {
 // clobber an in-flight DCSS descriptor.
 func (a *Atom[T]) Store(v T) {
 	a.p.Store(&cell[T]{val: v})
-}
-
-// Reset returns the Atom to its never-written zero state without
-// allocating. Like Store it is only legal while the Atom is unshared —
-// initialization, or scrubbing an object that provably never escaped
-// to another goroutine (the skiplist's node recycling) — since it
-// would clobber an in-flight descriptor on a shared Atom.
-func (a *Atom[T]) Reset() {
-	a.p.Store(nil)
 }
 
 // CompareAndSwap installs new iff the Atom still holds the witnessed cell.

@@ -26,9 +26,11 @@ import "skiptrie/internal/stats"
 //     yielded; one inserted behind is never seen.
 //
 // The cursor survives deletion of the node it rests on: a marked node's
-// succ word is frozen at mark time (unlinking rewrites the predecessor,
-// never the marked node), so stepping forward from a deleted — even
-// fully unlinked — node follows its frozen successor chain back into
+// link word is frozen at mark time — it holds a marker whose own next
+// is the successor at that instant, and unlinking rewrites the
+// predecessor, never the marked node — so stepping forward from a
+// deleted, even fully unlinked, node follows its frozen successor chain
+// (through the marker, which is decoded and never rested on) back into
 // the live list, and every node on that chain carried a strictly larger
 // key when the pointer was written. Backward steps ignore the resting
 // node's liveness entirely: they re-search by key. Nodes are reclaimed
@@ -118,7 +120,7 @@ func (it *Iter[V]) Next(c *stats.Op) bool {
 	if it.cur == nil {
 		return false
 	}
-	s, _ := it.cur.succ.Load()
+	s, _ := it.cur.succ()
 	return it.settle(s.Next, c)
 }
 

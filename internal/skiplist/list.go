@@ -30,7 +30,7 @@ type List[V any] struct {
 	// back pointers (written once, at insert and at markNode) that may
 	// reference a retired node indefinitely as a recovery tombstone,
 	// and searches recover through those pointers relying on the
-	// retired node's key and frozen succ word staying exactly what they
+	// retired node's key and frozen link word staying exactly what they
 	// were. No grace period bounds that reachability, so reusing the
 	// allocation would change a key out from under a future recovery —
 	// the classic ABA corruption, here breaking search termination
@@ -56,8 +56,8 @@ func (l *List[V]) newDataNode() *dataNode[V] {
 // It must only be called on nodes that were never published: once the
 // linking CAS has landed, concurrent operations hold references to the
 // node forever (see the pool field comment). The scrub clears every
-// reference the insert attempt wrote (the succ word's cell, the back
-// pointer, the value), so a pooled node retains nothing; the epoch
+// reference the insert attempt wrote (the link word, the back pointer,
+// the value), so a pooled node retains nothing; the epoch
 // stamps and immutable-by-convention header fields are re-stamped in
 // full by the next insert that draws it.
 func (l *List[V]) recycleDataNode(dn *dataNode[V]) {
@@ -65,7 +65,7 @@ func (l *List[V]) recycleDataNode(dn *dataNode[V]) {
 	dn.val = zero
 	dn.from = 0
 	dn.n.born = 0
-	dn.n.succ.Reset()
+	dn.n.next.Store(nil)
 	dn.n.back.Store(nil)
 	l.pool.Put(dn)
 }
@@ -87,9 +87,9 @@ func (l *List[V]) Topo() *Topology { return &l.Topology }
 // pointer back to the containing *dataNode[V], which is only valid while
 // the two share an address.
 //
-// The value is published by the succ-word CAS that links the node into
+// The value is published by the link-word CAS that links the node into
 // level 0 (a release store that every reader acquires through its own
-// succ-word loads), so the initial write needs no further synchronization.
+// link-word loads), so the initial write needs no further synchronization.
 // In-place updates (Map.Store on an existing key) cannot ride that
 // publication; they are guarded by vmu, a word-sized spinlock. The
 // critical section is a single value copy, readers and writers take it
@@ -122,8 +122,9 @@ type version[V any] struct {
 }
 
 // dataOf recovers the allocation containing a level-0 data node's header.
-// n must be a data-kind root created by List[V].Insert/Upsert; sentinels
-// and tower nodes above level 0 are plain Nodes and must never be passed.
+// n must be a data-kind root created by List[V].Insert/Upsert; sentinels,
+// tower nodes above level 0, markers and descriptors are plain Nodes (or
+// descNodes) and must never be passed.
 func dataOf[V any](n *Node) *dataNode[V] {
 	return (*dataNode[V])(unsafe.Pointer(n))
 }
@@ -330,15 +331,15 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 		// before any concurrently-registered pin is handed out, or the
 		// pinned view could include a key that observably did not exist
 		// yet (epoch.go, "The commit counter"). Both stamps are
-		// released by the CAS and acquired by any reader's succ load.
+		// released by the CAS and acquired by any reader's link load.
 		commit := l.commitEnter(key)
 		root.born = l.epoch.Load()
 		dn.from = root.born
 		hook("insert.committing", root)
-		root.succ.Store(Succ{Next: br.Right})
+		root.next.Store(br.Right)
 		root.back.Store(br.Left)
 		c.IncCAS()
-		_, ok := br.Left.succ.CompareAndSwap(br.LeftW, Succ{Next: root})
+		ok := br.Left.casNext(br.Right, root)
 		if ok {
 			l.journalMark(key, root.born)
 		}
@@ -366,10 +367,19 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 	// the cost of the slab staying reachable while any of its nodes is
 	// (a constant-factor trade; towers are torn down level-by-level but
 	// their nodes' lifetimes are already coupled through root pointers).
+	// The raise descriptors come from a second, short-lived slab, one
+	// per level: a descriptor is published at most once, since a
+	// published one either links its level or fails only because the
+	// stop flag is set, which ends the raise. An install CAS that lost
+	// never published its descriptor, so the retry reuses it.
 	curr := root
 	var slab []Node
+	var descs []descNode
 	if h > 1 {
 		slab = make([]Node, h-1)
+		if l.useDCSS {
+			descs = make([]descNode, h-1)
+		}
 	}
 	for lv := 1; lv < h; lv++ {
 		if root.stop.Load() {
@@ -389,7 +399,7 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 				// incarnation); cap our tower here.
 				return InsertResult{Inserted: true, Root: root}
 			}
-			tn.succ.Store(Succ{Next: br.Right})
+			tn.next.Store(br.Right)
 			tn.back.Store(br.Left)
 			if lv == l.levels-1 {
 				tn.prev.Store(br.Left) // initial guide; FixPrev corrects it
@@ -397,14 +407,36 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 			ok := false
 			if l.useDCSS {
 				c.IncDCSS()
-				_, ok = br.Left.succ.DCSS(br.LeftW, Succ{Next: tn}, func() bool { return !root.stop.Load() })
+				d := &descs[lv-1]
+				d.n.kind, d.n.root = kindDesc, root
+				d.old, d.new = br.Right, tn
+				ok = br.Left.dcssNext(d)
 			} else {
 				c.IncCAS()
-				_, ok = br.Left.succ.CompareAndSwap(br.LeftW, Succ{Next: tn})
+				ok = br.Left.casNext(br.Right, tn)
 			}
 			if ok {
 				l.nodes.Add(1)
 				curr = tn
+				if !l.useDCSS && root.stop.Load() {
+					// Without the DCSS guard the link can land after a
+					// concurrent delete has already scanned this level
+					// for the tower. Take the node down as that delete
+					// would have; markNode arbitrates if it did see it.
+					if l.markNode(tn, br.Left, c) {
+						l.search(t, br.Left, c)
+						l.nodes.Add(-1)
+					}
+					if lv == l.levels-1 {
+						// The node was briefly a top-level member: repair
+						// its successor's prev as a top-level delete
+						// would, and report it so the caller's trie walk
+						// disconnects it (xfast.InsertWalk).
+						l.repairPrevAfterDelete(t, br.Left, c)
+						return InsertResult{Inserted: true, Root: root, Top: tn}
+					}
+					return InsertResult{Inserted: true, Root: root}
+				}
 				break
 			}
 			if root.stop.Load() {

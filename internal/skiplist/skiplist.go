@@ -7,15 +7,19 @@
 // of nodes linked by down pointers; the level-0 node is the tower's root
 // and carries the stop flag that freezes the tower when a delete begins
 // (Section 2). Each node's next pointer and marked bit live in one atomic
-// word (Harris-style logical deletion); a back pointer, set before a node
-// is marked, lets concurrent operations recover when a node is deleted
-// from under their feet (Fomitchev-Ruppert).
+// pointer word: the successor while the node is unmarked, a marker node
+// holding the frozen successor once it is logically deleted (Harris-style
+// deletion with the marker layout of Java's ConcurrentSkipListMap; see
+// link.go). Tower raises, which the paper guards by DCSS, install a
+// restricted-DCSS descriptor node in that same word. A back pointer, set
+// before a node is marked, lets concurrent operations recover when a node
+// is deleted from under their feet (Fomitchev-Ruppert).
 //
 // Top-level nodes additionally carry a prev pointer forming a doubly-linked
 // list. Linearizability relies only on the forward direction; prev pointers
-// are guides (Section 3). They are set by FixPrev via DCSS, conditioned on
-// the predecessor remaining unmarked and adjacent, so a prev pointer never
-// targets a marked node. The ready flag records that a node's insertion
+// are guides (Section 3). They are dcss.Atom cells set by FixPrev via
+// DCSS, conditioned on the predecessor remaining unmarked and adjacent, so
+// a prev pointer never targets a marked node. The ready flag records that a node's insertion
 // into the doubly-linked list finished. Both repair disciplines discussed
 // in the paper's introduction are implemented: the default relaxed mode
 // (option 2, the paper's choice — transient backward gaps are tolerated and
@@ -24,7 +28,7 @@
 // ready), selectable per list for the T8 ablation.
 //
 // The package is split along the value axis. Node and Topology are
-// value-free: they carry only the paper's state (keys, towers, succ/marked
+// value-free: they carry only the paper's state (keys, towers, link
 // words, back/prev pointers) and implement every navigation and repair
 // algorithm, so code that only routes through the structure — notably the
 // x-fast trie and its DCSS guards — compiles once, independent of any
@@ -64,13 +68,14 @@ const (
 type kind int8
 
 const (
-	kindHead kind = iota - 1 // sorts before every key
-	kindData                 // an actual key
-	kindTail                 // sorts after every key
+	kindHead   kind = iota - 1 // sorts before every key
+	kindData                   // an actual key
+	kindTail                   // sorts after every key
+	kindMarker                 // deletion marker inside a link word (link.go)
+	kindDesc                   // raise descriptor inside a link word (link.go)
 )
 
-// Succ packs a node's next pointer and its marked bit into one atomic
-// value, exactly the paper's (next, marked) word.
+// Succ is a decoded link word, exactly the paper's (next, marked) pair.
 type Succ struct {
 	Next   *Node
 	Marked bool
@@ -83,31 +88,34 @@ type Succ struct {
 // Level-0 data nodes of a List[V] are allocated as dataNode[V] — this
 // header followed by an unboxed value slot (list.go); sentinels and tower
 // nodes above level 0 are plain Nodes and carry no value storage at all.
+//
+// Marker and descriptor nodes (link.go) reuse the header type so they can
+// sit in a link word, but are never list members.
 type Node struct {
 	key        uint64
 	kind       kind
 	level      int8
-	origHeight int8  // tower height drawn at insert time (levels occupied)
-	root       *Node // level-0 node of this tower (self at level 0)
-	down       *Node // next lower tower node; nil at level 0
+	origHeight int8        // tower height drawn at insert time (levels occupied)
+	stop       atomic.Bool // root-only: freezes tower raising (Section 2)
+	ready      atomic.Bool // top-level-only: doubly-linked insertion finished
+	root       *Node       // level-0 node of this tower (self at level 0)
+	down       *Node       // next lower tower node; nil at level 0
 
-	succ dcss.Atom[Succ]
+	next atomic.Pointer[Node] // link word: successor, marker or descriptor (link.go)
 	back atomic.Pointer[Node] // recovery hint; points to a strictly smaller node
 
-	// root-only:
-	stop atomic.Bool // freezes tower raising (Section 2)
-	// born is the list epoch current when the node was linked; written
-	// before the publishing CAS, so every reader that reached the node
-	// through a succ load observes it. dead is the epoch a delete
-	// committed the node at (0 while alive): the delete's linearization
-	// point is the CAS that sets it. Both are meaningful on data roots
-	// only; see epoch.go for the pin protocol they serve.
+	// root-only: born is the list epoch current when the node was
+	// linked; written before the publishing CAS, so every reader that
+	// reached the node through a link load observes it. dead is the
+	// epoch a delete committed the node at (0 while alive): the
+	// delete's linearization point is the CAS that sets it. Both are
+	// meaningful on data roots only; see epoch.go for the pin protocol
+	// they serve.
 	born uint64
 	dead atomic.Uint64
 
 	// top-level-only:
-	prev  dcss.Atom[*Node] // backward guide pointer (Section 3)
-	ready atomic.Bool      // doubly-linked insertion finished
+	prev dcss.Atom[*Node] // backward guide pointer (Section 3)
 }
 
 // Key returns the node's key. Meaningful only for data nodes.
@@ -128,10 +136,12 @@ func (n *Node) Level() int { return int(n.level) }
 // Root returns the tower's level-0 node.
 func (n *Node) Root() *Node { return n.root }
 
-// Marked reports whether the node is logically deleted.
+// Marked reports whether the node is logically deleted. A descriptor in
+// the word needs no helping here: one is only ever installed over, and
+// resolves to, an unmarked successor.
 func (n *Node) Marked() bool {
-	s, _ := n.succ.Load()
-	return s.Marked
+	p := n.next.Load()
+	return p != nil && p.kind == kindMarker
 }
 
 // BornEpoch returns the epoch the node's tower was linked at.
@@ -161,17 +171,19 @@ func (n *Node) VisibleAt(p uint64) bool {
 	return d == 0 || d > p
 }
 
-// LoadSucc returns the node's (next, marked) word and a witness usable in
-// guards.
-func (n *Node) LoadSucc() (Succ, dcss.Witness[Succ]) {
-	return n.succ.Load()
+// LoadSucc returns the node's decoded (next, marked) word and a witness
+// usable in guards, after helping any in-flight raise on the word.
+func (n *Node) LoadSucc() (Succ, Witness) {
+	return n.succ()
 }
 
-// SuccHolds reports whether the node's succ word still holds exactly the
-// witnessed value — the building block of the paper's DCSS guards
-// ("conditioned on the target remaining unmarked").
-func (n *Node) SuccHolds(w dcss.Witness[Succ]) bool {
-	return n.succ.Holds(w)
+// SuccHolds reports whether the node's link word, after helping any
+// in-flight raise on it, still holds the witnessed value: for an unmarked
+// witness, that the node is still unmarked with the same successor — the
+// building block of the paper's DCSS guards ("conditioned on the target
+// remaining unmarked").
+func (n *Node) SuccHolds(w Witness) bool {
+	return n.load() == w.word
 }
 
 // Prev returns the node's backward guide pointer (top level only).
@@ -307,7 +319,7 @@ func (l *Topology) init(cfg Config) {
 			h.down = l.heads[i-1]
 			t.down = l.tails[i-1]
 		}
-		h.succ.Store(Succ{Next: t})
+		h.next.Store(t)
 		h.back.Store(h)
 		t.back.Store(h)
 		h.ready.Store(true)
@@ -342,12 +354,15 @@ func (l *Topology) Len() int { return int(l.length.Load()) }
 func (l *Topology) NodeCount() int { return int(l.nodes.Load()) }
 
 // Bracket is the result of a list search at one level: at witness time,
-// Left was unmarked, Left.next was Right, and Left < target <= Right.
+// Left was unmarked, Left.next was Right, Right was unmarked, and
+// Left < target <= Right. LeftW and RightW witness the two link words
+// (LeftW is Right itself). Left and Right are always list members, never
+// markers or descriptors.
 type Bracket struct {
 	Left   *Node
-	LeftW  dcss.Witness[Succ]
+	LeftW  Witness
 	Right  *Node
-	RightW dcss.Witness[Succ]
+	RightW Witness
 }
 
 // search is the paper's listSearch(x, start): walk level nodes from start,
@@ -362,7 +377,7 @@ func (l *Topology) search(t target, start *Node, c *stats.Op) Bracket {
 			left = left.back.Load()
 			c.Hop()
 		}
-		ls, lw := left.succ.Load()
+		ls, _ := left.succ()
 		if ls.Marked {
 			left = left.back.Load()
 			c.Hop()
@@ -372,23 +387,21 @@ func (l *Topology) search(t target, start *Node, c *stats.Op) Bracket {
 	walk:
 		for {
 			c.Hop()
-			cs, cw := curr.succ.Load()
+			cs, cw := curr.succ()
 			if cs.Marked {
 				// Unlink the marked node; on contention re-anchor.
 				c.IncCAS()
-				nlw, ok := left.succ.CompareAndSwap(lw, Succ{Next: cs.Next})
-				if !ok {
+				if !left.casNext(curr, cs.Next) {
 					break walk
 				}
-				lw = nlw
 				curr = cs.Next
 				continue
 			}
 			if curr.before(t) {
-				left, lw, curr = curr, cw, cs.Next
+				left, curr = curr, cs.Next
 				continue
 			}
-			return Bracket{Left: left, LeftW: lw, Right: curr, RightW: cw}
+			return Bracket{Left: left, LeftW: Witness{curr}, Right: curr, RightW: cw}
 		}
 	}
 }
@@ -479,17 +492,7 @@ func (l *Topology) FixPrev(pred, node *Node, c *stats.Op) {
 	for !node.Marked() {
 		_, pw := node.prev.Load()
 		if br.Right == node {
-			ok := false
-			if l.useDCSS {
-				c.IncDCSS()
-				left := br.Left
-				lw := br.LeftW
-				_, ok = node.prev.DCSS(pw, left, func() bool { return left.succ.Holds(lw) })
-			} else {
-				c.IncCAS()
-				_, ok = node.prev.CompareAndSwap(pw, br.Left)
-			}
-			if ok {
+			if l.setPrev(node, pw, br.Left, br.LeftW, c) {
 				if l.repair == RepairRelaxed {
 					node.ready.Store(true)
 				}
@@ -501,6 +504,24 @@ func (l *Topology) FixPrev(pred, node *Node, c *stats.Op) {
 	if l.repair == RepairRelaxed {
 		node.ready.Store(true)
 	}
+}
+
+// setPrev points node.prev at left, conditioned on left still being
+// unmarked with its link word equal to lw (next = node): the guard of
+// the paper's Algorithm 1. With DCSS the condition guards the swing. In
+// the CAS fallback it is re-checked after the swing instead, and a false
+// result sends the caller round again: a repair that interleaved with
+// ours either wrote after our re-check, or made it fail, so the write a
+// quiescent list keeps is one made while its condition held.
+func (l *Topology) setPrev(node *Node, pw dcss.Witness[*Node], left *Node, lw Witness, c *stats.Op) bool {
+	if l.useDCSS {
+		c.IncDCSS()
+		_, ok := node.prev.DCSS(pw, left, func() bool { return left.SuccHolds(lw) })
+		return ok
+	}
+	c.IncCAS()
+	_, ok := node.prev.CompareAndSwap(pw, left)
+	return ok && left.SuccHolds(lw)
 }
 
 // makeReadyChain implements the eager-helping discipline (Section 1,
@@ -516,7 +537,7 @@ func (l *Topology) makeReadyChain(node *Node, c *stats.Op) {
 	for cur.kind == kindData && n < len(chain) {
 		chain[n] = cur
 		n++
-		s, _ := cur.succ.Load()
+		s, _ := cur.succ()
 		next := s.Next
 		if next == nil || next.ready.Load() {
 			break
@@ -527,7 +548,7 @@ func (l *Topology) makeReadyChain(node *Node, c *stats.Op) {
 		u := chain[i]
 		// Set u.next.prev = u, then u.ready.
 		for {
-			s, sw := u.succ.Load()
+			s, sw := u.succ()
 			if s.Marked || s.Next == nil {
 				break
 			}
@@ -536,15 +557,7 @@ func (l *Topology) makeReadyChain(node *Node, c *stats.Op) {
 			if v.prev.Value() == u {
 				break
 			}
-			ok := false
-			if l.useDCSS {
-				c.IncDCSS()
-				_, ok = v.prev.DCSS(pw, u, func() bool { return u.succ.Holds(sw) })
-			} else {
-				c.IncCAS()
-				_, ok = v.prev.CompareAndSwap(pw, u)
-			}
-			if ok {
+			if l.setPrev(v, pw, u, sw, c) {
 				break
 			}
 			if u.Marked() {
@@ -670,18 +683,25 @@ func (l *Topology) Delete(key uint64, start *Node, c *stats.Op) DeleteResult {
 	return DeleteResult{Deleted: true, Root: root, Top: topNode}
 }
 
-// markNode sets n.back to the given hint and marks n, returning true if
-// this call's CAS performed the marking.
+// markNode sets n.back to the given hint and marks n — swings its link
+// word onto a fresh marker holding the current successor — returning true
+// if this call's CAS performed the marking.
 func (l *Topology) markNode(n, backHint *Node, c *stats.Op) bool {
+	var mk *Node
 	for {
-		s, w := n.succ.Load()
+		s, _ := n.succ()
 		if s.Marked {
 			return false
 		}
 		hook("delete.before-mark", n)
 		n.back.Store(backHint)
+		if mk == nil {
+			// Allocated once: a failed CAS never published it.
+			mk = &Node{kind: kindMarker}
+		}
+		mk.next.Store(s.Next)
 		c.IncCAS()
-		if _, ok := n.succ.CompareAndSwap(w, Succ{Next: s.Next, Marked: true}); ok {
+		if n.casNext(s.Next, mk) {
 			return true
 		}
 	}
@@ -693,7 +713,7 @@ func (l *Topology) markNode(n, backHint *Node, c *stats.Op) bool {
 // so we simply stop.
 func (l *Topology) repairSuccessorPrev(node *Node, c *stats.Op) {
 	for {
-		s, _ := node.succ.Load()
+		s, _ := node.succ()
 		if s.Marked {
 			return
 		}
@@ -739,17 +759,7 @@ func (l *Topology) fixPrevOf(t target, node *Node, br Bracket, c *stats.Op) {
 	for !node.Marked() {
 		_, pw := node.prev.Load()
 		if br.Right == node {
-			ok := false
-			if l.useDCSS {
-				c.IncDCSS()
-				left := br.Left
-				lw := br.LeftW
-				_, ok = node.prev.DCSS(pw, left, func() bool { return left.succ.Holds(lw) })
-			} else {
-				c.IncCAS()
-				_, ok = node.prev.CompareAndSwap(pw, br.Left)
-			}
-			if ok {
+			if l.setPrev(node, pw, br.Left, br.LeftW, c) {
 				return
 			}
 		} else {
@@ -785,7 +795,7 @@ func (l *Topology) FindVisible(n *Node, key uint64, at uint64, c *stats.Op) (*No
 		if admitted(n, at) {
 			return n, true
 		}
-		s, _ := n.succ.Load()
+		s, _ := n.succ()
 		n = s.Next
 		c.Hop()
 	}
@@ -819,7 +829,7 @@ func (l *Topology) NextVisible(n *Node, at uint64, c *stats.Op) (*Node, bool) {
 		if admitted(n, at) {
 			return n, true
 		}
-		s, _ := n.succ.Load()
+		s, _ := n.succ()
 		c.Hop()
 		n = s.Next
 	}

@@ -17,7 +17,11 @@ import "fmt"
 //     exactly its unmarked top-level predecessor (prev pointers are mere
 //     guides during execution, but quiescence implies all repairs
 //     finished);
-//  5. the recorded length matches the number of live level-0 nodes.
+//  5. the recorded length matches the number of live level-0 nodes;
+//  6. every link word decodes cleanly: no marker or descriptor node is
+//     reachable as a list member, a marker's frozen successor is a list
+//     member, and no raise descriptor is left installed (every raise
+//     resolves its descriptor before returning).
 //
 // Dead nodes retained on the bottom list for pinned epochs (unmarked,
 // dead stamp set — see epoch.go) are treated as deleted: they are
@@ -32,7 +36,10 @@ func (l *Topology) Validate() error {
 		first := true
 		n := l.heads[lv]
 		for {
-			s, _ := n.succ.Load()
+			s, err := linkOf(lv, n)
+			if err != nil {
+				return err
+			}
 			if n.kind == kindTail {
 				break
 			}
@@ -95,7 +102,10 @@ func (l *Topology) Validate() error {
 	prev := l.heads[top]
 	n := l.heads[top]
 	for {
-		s, _ := n.succ.Load()
+		s, err := linkOf(top, n)
+		if err != nil {
+			return err
+		}
 		if n.kind == kindTail {
 			if got := n.prev.Value(); got != prev {
 				return fmt.Errorf("tail.prev = %v, want key %v", nodeDesc(got), nodeDesc(prev))
@@ -120,6 +130,22 @@ func (l *Topology) Validate() error {
 	return nil
 }
 
+// linkOf decodes a quiescent node's link word, checking invariant 6 on
+// the way.
+func linkOf(lv int, n *Node) (Succ, error) {
+	if n.kind > kindTail {
+		return Succ{}, fmt.Errorf("level %d: %s reachable as a list member", lv, nodeDesc(n))
+	}
+	if p := n.next.Load(); p != nil && p.kind == kindDesc {
+		return Succ{}, fmt.Errorf("level %d: raise descriptor left installed after %s", lv, nodeDesc(n))
+	}
+	s, _ := n.succ()
+	if s.Next != nil && s.Next.kind > kindTail {
+		return Succ{}, fmt.Errorf("level %d: %s follows %s", lv, nodeDesc(s.Next), nodeDesc(n))
+	}
+	return s, nil
+}
+
 func nodeDesc(n *Node) string {
 	switch {
 	case n == nil:
@@ -128,6 +154,10 @@ func nodeDesc(n *Node) string {
 		return "head"
 	case n.kind == kindTail:
 		return "tail"
+	case n.kind == kindMarker:
+		return "a marker"
+	case n.kind == kindDesc:
+		return "a descriptor"
 	default:
 		return fmt.Sprintf("key %d", n.key)
 	}
@@ -141,7 +171,7 @@ func (l *Topology) LevelCounts() []int {
 	for lv := 0; lv < l.levels; lv++ {
 		n := l.heads[lv]
 		for {
-			s, _ := n.succ.Load()
+			s, _ := n.succ()
 			if n.kind == kindData && !s.Marked && n.dead.Load() == 0 {
 				counts[lv]++
 			}
@@ -163,11 +193,11 @@ func (l *Topology) TopGaps() []int {
 	var gaps []int
 	gap := 0
 	topNode := l.heads[top]
-	ts, _ := topNode.succ.Load()
+	ts, _ := topNode.succ()
 	nextTop := ts.Next
 	n := l.heads[0]
 	for {
-		s, _ := n.succ.Load()
+		s, _ := n.succ()
 		if n.kind == kindTail {
 			gaps = append(gaps, gap)
 			break
@@ -175,7 +205,7 @@ func (l *Topology) TopGaps() []int {
 		if n.kind == kindData && !s.Marked && n.dead.Load() == 0 {
 			// Is this key the next top-level key?
 			for nextTop.kind == kindData {
-				ns, _ := nextTop.succ.Load()
+				ns, _ := nextTop.succ()
 				if !ns.Marked {
 					break
 				}
@@ -184,7 +214,7 @@ func (l *Topology) TopGaps() []int {
 			if nextTop.kind == kindData && nextTop.key == n.key {
 				gaps = append(gaps, gap)
 				gap = 0
-				ns, _ := nextTop.succ.Load()
+				ns, _ := nextTop.succ()
 				nextTop = ns.Next
 			} else {
 				gap++

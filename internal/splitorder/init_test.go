@@ -1,6 +1,7 @@
 package splitorder
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -54,31 +55,71 @@ func TestConcurrentBucketInitialization(t *testing.T) {
 }
 
 // TestListStaysSortedBySplitOrder verifies the global list invariant after
-// heavy growth: codes are nondecreasing and sentinels partition regular
-// nodes correctly.
+// heavy growth: codes are nondecreasing, sentinels partition regular
+// nodes correctly, and no marker is ever reachable as a list node (a
+// marker is only seen through the word of the node it marks).
 func TestListStaysSortedBySplitOrder(t *testing.T) {
 	m := New[int]()
 	for i := uint64(0); i < 5000; i++ {
 		m.Insert(i*2654435761, 1)
 	}
-	n := m.sentinel(0)
-	var prev uint64
-	first := true
+	for i := uint64(0); i < 5000; i += 3 {
+		m.Delete(i * 2654435761)
+	}
+	if err := checkList(m); err != nil {
+		t.Fatal(err)
+	}
+	if want := 5000 - (5000+2)/3; m.Len() != want {
+		t.Fatalf("Len = %d, want %d", m.Len(), want)
+	}
+}
+
+// checkList walks the whole list from bucket 0's sentinel and verifies
+// the representation invariants: no marker is reachable as a list node,
+// a marker's frozen successor is never itself a marker, unmarked codes
+// are nondecreasing (strictly, with key tie-breaks, for regular items),
+// every initialized bucket's sentinel is on the list, and the number of
+// unmarked regular nodes equals Len. Call only at quiescence.
+func checkList[V comparable](m *Map[V]) error {
+	onList := make(map[*node[V]]bool)
+	var prev *node[V]
 	count := 0
-	for n != nil {
-		s, _ := n.next.Load()
-		if !s.marked {
-			if !first && n.code < prev {
-				t.Fatalf("split-order violated: %x after %x", n.code, prev)
+	for n := m.sentinel(0); n != nil; {
+		if n.kind == kindMarker {
+			return fmt.Errorf("marker reachable as a list node (after code %x)", prev.code)
+		}
+		raw := n.next.Load()
+		next, marked := n.succ()
+		if marked && next != nil && next.kind == kindMarker {
+			return fmt.Errorf("marker of code %x freezes another marker", n.code)
+		}
+		if raw != nil && raw.kind == kindMarker != marked {
+			return fmt.Errorf("succ() disagrees with the raw word at code %x", n.code)
+		}
+		if !marked {
+			if prev != nil && !prev.before(n.code, n.key) {
+				return fmt.Errorf("split order violated: %x/%d after %x/%d", n.code, n.key, prev.code, prev.key)
 			}
-			prev, first = n.code, false
-			if !n.sentinel {
+			if n.kind == kindSentinel && n.code&1 != 0 || n.kind == kindRegular && n.code&1 == 0 {
+				return fmt.Errorf("node kind %d carries code %x of the wrong parity", n.kind, n.code)
+			}
+			prev = n
+			onList[n] = true
+			if n.kind == kindRegular {
 				count++
 			}
+		} else if n.kind == kindSentinel {
+			return fmt.Errorf("sentinel %d is marked", n.key)
 		}
-		n = s.n
+		n = next
 	}
-	if count != 5000 {
-		t.Fatalf("walked %d regular nodes, want 5000", count)
+	for b := uint64(0); b < m.size.Load(); b++ {
+		if s := m.slot(b).Load(); s != nil && !onList[s] {
+			return fmt.Errorf("bucket %d's sentinel is not on the list", b)
+		}
 	}
+	if count != m.Len() {
+		return fmt.Errorf("walked %d unmarked regular nodes, Len = %d", count, m.Len())
+	}
+	return nil
 }

@@ -3,9 +3,11 @@
 // Extensible Hash Tables", PODC 2003), the table the SkipTrie paper uses
 // for its prefixes map.
 //
-// All items live in a single lock-free sorted linked list (Michael-style,
-// with logical deletion via a mark bit packed with the next pointer). The
-// list is sorted by "split order" — the bit-reversed hash — so that when
+// All items live in a single lock-free sorted linked list (Harris-Michael,
+// with links laid out as in Java's ConcurrentSkipListMap: each node's next
+// is one atomic pointer, and a node is logically deleted by swinging its
+// next onto a marker node that holds the frozen successor). The list is
+// sorted by "split order" — the bit-reversed hash — so that when
 // the bucket count doubles, a new bucket's items already form a contiguous
 // run inside its parent bucket's run, and "splitting" a bucket is just
 // lazily inserting one new sentinel node. Nothing is ever rehashed or
@@ -27,13 +29,29 @@
 // which is what makes lazy splitting sound. Ties on code (possible only
 // for regular items whose 63-bit hashes collide) are broken by the key
 // itself.
+//
+// # Links and ABA
+//
+// Every CAS on a link compares the expected successor pointer itself —
+// the paper's value-based guard "pred is unmarked and pred.next = curr" —
+// not the identity of a boxed cell. A link word holding a regular or
+// sentinel node means "unmarked, next = that node"; a word holding a
+// marker means "marked", and marking is permanent (nothing ever CASes a
+// marked word). Value comparison is ABA-safe here for two reasons. Go's
+// garbage collector never reuses a node's address while any goroutine
+// still holds a reference to it, so an expected pointer cannot come to
+// name a different node. And a node is never relinked: once a marked
+// node is spliced out of the list no link targets it again, because
+// inserts publish only fresh nodes and unlinks splice past a marked node
+// to its frozen successor, which is still in the list. A word that reads
+// curr again after changing therefore still means "curr follows pred",
+// which is all the CAS relies on.
 package splitorder
 
 import (
 	"math/bits"
 	"sync/atomic"
 
-	"skiptrie/internal/dcss"
 	"skiptrie/internal/uintbits"
 )
 
@@ -59,17 +77,32 @@ type Map[V comparable] struct {
 
 type segment[V comparable] [segSize]atomic.Pointer[node[V]]
 
+// nodeKind distinguishes the three node shapes that share the list.
+type nodeKind uint8
+
+const (
+	kindRegular  nodeKind = iota // a key/value item
+	kindSentinel                 // a bucket's entry point; never deleted
+	kindMarker                   // logical-deletion marker; next is the frozen successor
+)
+
 type node[V comparable] struct {
-	code     uint64 // split-order code; odd = regular, even = sentinel
-	key      uint64 // original key (regular) or bucket index (sentinel)
-	val      V
-	sentinel bool
-	next     dcss.Atom[succ[V]]
+	code uint64 // split-order code; odd = regular, even = sentinel
+	key  uint64 // original key (regular) or bucket index (sentinel)
+	next atomic.Pointer[node[V]]
+	val  V
+	kind nodeKind
 }
 
-type succ[V comparable] struct {
-	n      *node[V]
-	marked bool
+// succ decodes n's link word: the successor, and whether n is logically
+// deleted (its word holds a marker, whose own next is the frozen
+// successor).
+func (n *node[V]) succ() (next *node[V], marked bool) {
+	next = n.next.Load()
+	if next != nil && next.kind == kindMarker {
+		return next.next.Load(), true
+	}
+	return next, false
 }
 
 // New returns an empty map.
@@ -99,14 +132,23 @@ func (n *node[V]) before(code, key uint64) bool {
 	return n.key < key
 }
 
-// Lookup returns the value stored under key.
+// Lookup returns the value stored under key. It only reads: it follows
+// links in key order, through the markers of deleted nodes to their
+// frozen successors, without helping to unlink them, and checks the mark
+// of the matching node alone (the wait-free contains of Herlihy and
+// Shavit's lock-free list). A miss therefore never loads past the first
+// node at or after the key.
 func (m *Map[V]) Lookup(key uint64) (V, bool) {
 	h := hash63(key)
 	code := regularCode(h)
-	start := m.sentinel(h & (m.size.Load() - 1))
-	_, _, curr := m.search(start, code, key)
+	curr := m.sentinel(h & (m.size.Load() - 1))
+	for curr != nil && curr.before(code, key) {
+		curr, _ = curr.succ()
+	}
 	if curr != nil && curr.code == code && curr.key == key {
-		return curr.val, true
+		if _, marked := curr.succ(); !marked {
+			return curr.val, true
+		}
 	}
 	var zero V
 	return zero, false
@@ -119,12 +161,12 @@ func (m *Map[V]) Insert(key uint64, v V) bool {
 	n := &node[V]{code: code, key: key, val: v}
 	for {
 		start := m.sentinel(h & (m.size.Load() - 1))
-		pred, pw, curr := m.search(start, code, key)
+		pred, curr := m.search(start, code, key)
 		if curr != nil && curr.code == code && curr.key == key {
 			return false
 		}
-		n.next.Store(succ[V]{n: curr})
-		if _, ok := pred.next.CompareAndSwap(pw, succ[V]{n: n}); ok {
+		n.next.Store(curr)
+		if pred.next.CompareAndSwap(curr, n) {
 			m.count.Add(1)
 			m.maybeGrow()
 			return true
@@ -149,58 +191,64 @@ func (m *Map[V]) deleteIf(key uint64, pred func(V) bool) (V, bool) {
 	var zero V
 	h := hash63(key)
 	code := regularCode(h)
+	// The marker is allocated once per call: a failed marking CAS never
+	// published it, so the next attempt may reuse it.
+	var mk *node[V]
 	for {
 		start := m.sentinel(h & (m.size.Load() - 1))
-		p, pw, curr := m.search(start, code, key)
+		p, curr := m.search(start, code, key)
 		if curr == nil || curr.code != code || curr.key != key {
 			return zero, false
 		}
 		if pred != nil && !pred(curr.val) {
 			return zero, false
 		}
-		cs, cw := curr.next.Load()
-		if cs.marked {
+		next := curr.next.Load()
+		if next != nil && next.kind == kindMarker {
 			continue // concurrently deleted; re-search to converge
 		}
-		if _, ok := curr.next.CompareAndSwap(cw, succ[V]{n: cs.n, marked: true}); ok {
+		if mk == nil {
+			mk = &node[V]{kind: kindMarker}
+		}
+		mk.next.Store(next)
+		if curr.next.CompareAndSwap(next, mk) {
 			m.count.Add(-1)
 			// Best-effort physical unlink; searches clean up otherwise.
-			p.next.CompareAndSwap(pw, succ[V]{n: cs.n})
+			p.next.CompareAndSwap(curr, next)
 			return curr.val, true
 		}
 	}
 }
 
-// search walks from start (an unmarked sentinel) and returns
-// (pred, predWitness, curr) such that pred sorts before (code, key),
-// curr is the first node not before (code, key) (nil at end of list), and
-// at witness time pred was unmarked with pred.next = curr. Marked nodes
-// encountered on the way are physically unlinked.
-func (m *Map[V]) search(start *node[V], code, key uint64) (*node[V], dcss.Witness[succ[V]], *node[V]) {
+// search walks from start (an unmarked sentinel) and returns (pred, curr)
+// such that pred sorts before (code, key), curr is the first node not
+// before (code, key) (nil at end of list), and at some instant during the
+// call pred was unmarked with pred.next = curr — so a CAS of pred.next
+// expecting curr succeeds only while that still holds. Marked nodes
+// encountered on the way are physically unlinked. Neither result is ever
+// a marker: a marker is only reachable through the word of the node it
+// marks, and is decoded there.
+func (m *Map[V]) search(start *node[V], code, key uint64) (*node[V], *node[V]) {
 	// start is always a sentinel and sentinels are never marked, so the
 	// initial pred is always a valid unmarked left anchor.
 retry:
 	pred := start
-	ps, pw := pred.next.Load()
-	curr := ps.n
-	for {
-		if curr == nil {
-			return pred, pw, nil
-		}
-		cs, cw := curr.next.Load()
-		if cs.marked {
-			npw, ok := pred.next.CompareAndSwap(pw, succ[V]{n: cs.n})
-			if !ok {
+	curr := pred.next.Load()
+	for curr != nil {
+		next, marked := curr.succ()
+		if marked {
+			if !pred.next.CompareAndSwap(curr, next) {
 				goto retry
 			}
-			pw, curr = npw, cs.n
+			curr = next
 			continue
 		}
 		if !curr.before(code, key) {
-			return pred, pw, curr
+			return pred, curr
 		}
-		pred, pw, curr = curr, cw, cs.n
+		pred, curr = curr, next
 	}
+	return pred, nil
 }
 
 // sentinel returns bucket b's sentinel node, lazily splicing it (and,
@@ -220,7 +268,7 @@ func parentBucket(b uint64) uint64 {
 func (m *Map[V]) initBucket(b uint64) *node[V] {
 	slot := m.slot(b)
 	if b == 0 {
-		n := &node[V]{code: 0, sentinel: true}
+		n := &node[V]{code: 0, kind: kindSentinel}
 		if slot.CompareAndSwap(nil, n) {
 			return n
 		}
@@ -229,15 +277,15 @@ func (m *Map[V]) initBucket(b uint64) *node[V] {
 	parent := m.sentinel(parentBucket(b))
 	code := sentinelCode(b)
 	for {
-		pred, pw, curr := m.search(parent, code, b)
-		if curr != nil && curr.code == code && curr.sentinel {
+		pred, curr := m.search(parent, code, b)
+		if curr != nil && curr.code == code && curr.kind == kindSentinel {
 			// A racing initializer already spliced it in.
 			slot.CompareAndSwap(nil, curr)
 			return slot.Load()
 		}
-		n := &node[V]{code: code, key: b, sentinel: true}
-		n.next.Store(succ[V]{n: curr})
-		if _, ok := pred.next.CompareAndSwap(pw, succ[V]{n: n}); ok {
+		n := &node[V]{code: code, key: b, kind: kindSentinel}
+		n.next.Store(curr)
+		if pred.next.CompareAndSwap(curr, n) {
 			slot.CompareAndSwap(nil, n)
 			return slot.Load()
 		}
@@ -278,12 +326,12 @@ func (m *Map[V]) Buckets() int {
 func (m *Map[V]) Range(fn func(key uint64, v V) bool) {
 	curr := m.sentinel(0)
 	for curr != nil {
-		cs, _ := curr.next.Load()
-		if !curr.sentinel && !cs.marked {
+		next, marked := curr.succ()
+		if curr.kind == kindRegular && !marked {
 			if !fn(curr.key, curr.val) {
 				return
 			}
 		}
-		curr = cs.n
+		curr = next
 	}
 }

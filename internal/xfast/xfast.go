@@ -238,6 +238,17 @@ func (t *Trie) Pred(key uint64, strict bool, c *stats.Op) *skiplist.Node {
 // the skiplist's top level, walk its proper prefixes longest-first and make
 // each trie level reflect it. The walk stops early if node gets marked.
 func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
+	t.insertWalk(node, c)
+	if !t.useDCSS && node.Marked() {
+		// In the CAS fallback a raise can link its top node after a
+		// concurrent delete scanned the top level; the insert then
+		// marks the node itself (skiplist raise cleanup), and no delete
+		// will walk it out of the trie. A duplicate walk is harmless.
+		t.DeleteWalk(node.Key(), node, nil, c)
+	}
+}
+
+func (t *Trie) insertWalk(node *skiplist.Node, c *stats.Op) {
 	key := node.Key()
 	for l := int(t.width) - 1; l >= 0; l-- {
 		p := uintbits.PrefixOf(key, uint8(l), t.width)
@@ -273,6 +284,19 @@ func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
 				continue
 			}
 			cur := pair.Get(d)
+			if cur != nil && cur.IsData() && cur.Marked() {
+				// The target is being walked out of the trie by its
+				// delete: help that walk at this level, then judge
+				// afresh. Deferring to it could lose node's prefix —
+				// the walk re-points the pointer at a neighbour found
+				// by a search that may predate node (or nulls it), and
+				// a dead incarnation of node's own key is replaced by
+				// its strict neighbour. Bypassing it could skip a live
+				// key between the two. The helping search runs after
+				// node is linked, so it sees node or a better target.
+				t.deleteLevel(cur.Key(), cur, nil, l, c)
+				continue
+			}
 			if cur != nil && cur.IsData() &&
 				((d == 0 && cur.Key() >= key) || (d == 1 && cur.Key() <= key)) {
 				break // node is adequately represented at this level
@@ -283,18 +307,18 @@ func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
 			if s.Marked {
 				return
 			}
-			if t.swing(tn, w, pair.With(d, node), node, sw, c) {
+			if t.swing(tn, w, pair.With(d, node), node, sw, l, c) {
 				break
 			}
 		}
 	}
 }
 
-// swing performs the guarded pointer update: DCSS conditioned on guardNode
-// still holding the witnessed succ (hence unmarked), or a plain CAS in the
-// fallback mode.
+// swing performs the guarded pointer update of trie level l: DCSS
+// conditioned on guardNode (the new target) still holding the witnessed
+// link word (hence unmarked), or a plain CAS in the fallback mode.
 func (t *Trie) swing(tn *treeNode, w dcss.Witness[Pair], newPair Pair,
-	guardNode *skiplist.Node, guardW dcss.Witness[skiplist.Succ], c *stats.Op) bool {
+	guardNode *skiplist.Node, guardW skiplist.Witness, l int, c *stats.Op) bool {
 	if t.useDCSS {
 		c.IncDCSS()
 		_, ok := tn.pointers.DCSS(w, newPair, func() bool { return guardNode.SuccHolds(guardW) })
@@ -302,6 +326,14 @@ func (t *Trie) swing(tn *treeNode, w dcss.Witness[Pair], newPair Pair,
 	}
 	c.IncCAS()
 	_, ok := tn.pointers.CompareAndSwap(w, newPair)
+	if ok && guardNode.Marked() {
+		// Unguarded, the swing may have landed after the target was
+		// marked and after its delete walk passed this level, which
+		// would leave the pointer stale forever: disconnect it here.
+		// If the target was still unmarked after the swing, its delete
+		// walk comes later and sees the pointer.
+		t.deleteLevel(guardNode.Key(), guardNode, nil, l, c)
+	}
 	return ok
 }
 
@@ -341,7 +373,7 @@ func (t *Trie) deleteLevel(key uint64, node *skiplist.Node, left *skiplist.Node,
 			// New candidate for "largest in the 0-subtree" is the
 			// deleted key's left neighbour.
 			if br.Left.IsData() && child.IsPrefixOfKey(br.Left.Key(), t.width) {
-				t.swing(tn, w, pair.With(0, br.Left), br.Left, br.LeftW, c)
+				t.swing(tn, w, pair.With(0, br.Left), br.Left, br.LeftW, l, c)
 			} else {
 				// The bracket proves the 0-subtree emptied (DESIGN.md):
 				// null the pointer (paper line 20).
@@ -355,7 +387,7 @@ func (t *Trie) deleteLevel(key uint64, node *skiplist.Node, left *skiplist.Node,
 				// Paper's makeDone(left, right): complete the
 				// successor's backward link before publishing it.
 				t.list.FixPrev(br.Left, br.Right, c)
-				t.swing(tn, w, pair.With(1, br.Right), br.Right, br.RightW, c)
+				t.swing(tn, w, pair.With(1, br.Right), br.Right, br.RightW, l, c)
 			} else {
 				c.IncCAS()
 				tn.pointers.CompareAndSwap(w, pair.With(1, nil))
